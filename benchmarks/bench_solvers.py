@@ -54,22 +54,31 @@ def test_solver_agreement(benchmark):
     assert err < 0.05
 
 
-def _didt(freq_hz):
+def _didt(freq_hz, sync=SyncSpec(offset=0.0, events_per_sync=1000)):
     return CurrentProgram(
         name="bench-didt",
         i_low=14.0,
         i_high=32.0,
         freq_hz=freq_hz,
         rise_time=11e-9,
-        sync=SyncSpec(offset=0.0, events_per_sync=1000),
+        sync=sync,
     )
+
+
+#: Unsynchronized low-frequency stimuli: every core draws its own burst
+#: phase and each segment spans several slow-tier chunks (~81 µs each
+#: on the reference chip), so these runs exercise the kernel's
+#: multi-chunk slow tier.
+_LONG_SEGMENT_FREQS = (16e3, 40e3)
 
 
 def _kernel_cross_validate():
     chip = reference_chip()
     runner = ChipRunner(chip)
     options = RunOptions(segments=4, base_samples=1536, collect_waveforms=True)
-    mappings = [[_didt(freq)] * 6 for freq in (1.3e6, 2.6e6, 5.2e6, 10.4e6)]
+    synced = [[_didt(freq)] * 6 for freq in (1.3e6, 2.6e6, 5.2e6, 10.4e6)]
+    unsynced = [[_didt(freq, sync=None)] * 6 for freq in _LONG_SEGMENT_FREQS]
+    mappings = synced + unsynced
     tags = [f"bench{i}" for i in range(len(mappings))]
 
     t0 = time.perf_counter()
@@ -86,21 +95,28 @@ def _kernel_cross_validate():
     batched = runner.run_batch(mappings, options, run_tags=tags, kernel=kernel)
     t_batched = time.perf_counter() - t0
 
-    worst = 0.0
-    for ref, fast in zip(reference, batched):
+    worst = [0.0] * len(mappings)
+    for i, (ref, fast) in enumerate(zip(reference, batched)):
         for node, (_, v_ref) in ref.waveforms.items():
-            worst = max(worst, np.abs(fast.waveforms[node][1] - v_ref).max())
-    return worst, t_reference, t_compile, t_batched
+            worst[i] = max(
+                worst[i], np.abs(fast.waveforms[node][1] - v_ref).max()
+            )
+    worst_synced = max(worst[:len(synced)])
+    worst_long = max(worst[len(synced):])
+    return worst_synced, worst_long, t_reference, t_compile, t_batched
 
 
 def test_batched_kernel_agreement(benchmark):
     """The compiled-kernel fast path vs the per-run reference solve:
-    waveforms agree within the kernel's pinned tolerance."""
-    worst, t_reference, t_compile, t_batched = benchmark.pedantic(
-        _kernel_cross_validate, rounds=1, iterations=1
+    waveforms agree within the kernel's pinned tolerance, for short
+    synchronized segments and for long multi-chunk ones alike."""
+    worst, worst_long, t_reference, t_compile, t_batched = (
+        benchmark.pedantic(_kernel_cross_validate, rounds=1, iterations=1)
     )
     print(f"\nworst |dv| kernel vs reference: {worst:.3e} V "
           f"(budget {KERNEL_TOLERANCE_V:.0e} V)")
+    print(f"worst |dv| on long multi-chunk segments: {worst_long:.3e} V")
     print(f"reference solve {t_reference*1e3:.0f} ms, kernel compile "
           f"{t_compile*1e3:.0f} ms, batched solve {t_batched*1e3:.0f} ms")
     assert worst < KERNEL_TOLERANCE_V
+    assert worst_long < KERNEL_TOLERANCE_V

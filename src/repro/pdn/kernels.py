@@ -21,10 +21,11 @@ The kernel splits every (sample, edge) pair by elapsed time
   contribution is the closed-form ramp response
   ``y_ss + Re Σ_i m_i g_i e^{λ_i x}``, evaluated for *all* edges of a
   port at once through complex prefix sums over the edge train
-  (``e^{λ(t − t_e)} = e^{λ t} · e^{−λ t_e}``), one small GEMM against
-  the per-port modal coefficient matrix.  Conjugate eigenvalue pairs
-  are folded into half-spectrum lanes (weight 2) so only
-  ``imag(λ) ≥ 0`` modes are carried.
+  (``e^{λ(t − t_e)} = e^{λ(t − a)} · e^{−λ(t_e − a)}`` for an anchor
+  ``a``, see below), one small GEMM against the per-port modal
+  coefficient matrix.  Conjugate eigenvalue pairs are folded into
+  half-spectrum lanes (weight 2) so only ``imag(λ) ≥ 0`` modes are
+  carried.
 * **dc** (``x > horizon``): the reference clamps to the table's DC
   gain; the kernel applies exactly ``dc · Σ deltas`` via a real prefix
   sum — bit-identical to the reference tier.
@@ -37,10 +38,14 @@ deviation exceeds the pinned budget — which is what lets the engine's
 spectrum does not factor cleanly.
 
 The prefix-sum factorization bounds its exponents by
-``max|Re λ_slow| · span``; segments whose span would overflow that
-budget (very sparse isolated-edge trains) transparently use a pairwise
-evaluation of the slow tier instead — same math, no stability
-constraint, and cheap exactly in the sparse regime where it triggers.
+``max|Re λ_slow| · span``, so the slow tier splits the sample grid into
+*anchored chunks* whose span stays inside that budget: within a chunk
+anchored at ``a`` it factors ``e^{λ(t − t_e)} = e^{λ(t − a)} ·
+e^{−λ(t_e − a)}``, with the decay factors computed only over the edges
+the chunk reads.  Chunk 0 is anchored at ``t = 0``, so a segment short
+enough to fit one chunk — every segment of a fast sweep — evaluates
+exactly the global factorization; long low-frequency segments simply
+carry more chunks, and no exponent ever leaves the budget.
 
 Kernels are memoized per chip fingerprint (a content digest of the
 response library they compile) via :func:`compile_kernel`, so a warm
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,7 +101,9 @@ _FAST_EFOLDS = 16.0
 
 #: Exponent magnitude budget of the prefix factorization (|e^±x| stays
 #: around 7e217, far from the ~1.8e308 double overflow, with headroom
-#: for the modal coefficient magnitudes).
+#: for the modal coefficient magnitudes).  It bounds the slow lanes
+#: (``|Re λ| · horizon``) and the span of one anchored slow-tier chunk
+#: (``_EXP_BUDGET / max|Re λ_slow|``, ~81 µs on the reference chip).
 _EXP_BUDGET = 500.0
 
 #: Capacity of the per-kernel segment caches (phase matrices and tier
@@ -106,8 +114,9 @@ _SEGMENT_CACHE_ENTRIES = 64
 
 #: Capacity of the per-kernel contribution cache: fully evaluated
 #: per-(sample grid, edge train, port) node-deviation blocks.  Entries
-#: are ``samples × nodes`` float arrays (~200 kB at experiment sizes),
-#: so the cap bounds resident memory at a few tens of MB.
+#: are ``samples × nodes`` float arrays (up to ~0.5 MB at experiment
+#: sizes: a low-frequency Fig. 7a segment is 10125 samples × 6 nodes ×
+#: 8 B), so the cap bounds resident memory at ~64 MB.
 _CONTRIB_CACHE_ENTRIES = 128
 
 
@@ -191,27 +200,35 @@ def clear_kernel_cache() -> None:
     _KERNEL_CACHE.clear()
 
 
+class _SlowChunk(NamedTuple):
+    """One anchored chunk of the slow tier: sample rows ``[lo, hi)``
+    read the edges ``[e_lo, e_lo + len(decay))``, i.e.
+    ``[ks_h[lo], ks_w[hi − 1])``."""
+
+    lo: int
+    hi: int
+    e_lo: int
+    decay: np.ndarray                # e^{−λ(t_e − anchor)} (E_c, S)
+
+
 @dataclass
 class _TierIndex:
     """Port-independent bookkeeping of one (sample grid, edge instants)
-    pair: which (sample, edge) pairs land in which tier, with the
-    window tier's ragged ranges pre-expanded into flat knot/fraction
-    arrays.  Every quantity here depends only on *times* — the edge
-    deltas join at evaluation time — which is what makes it reusable
-    across ports, segments and runs of a synchronized sweep."""
+    pair: which (sample, edge) pairs land in which tier, the slow
+    tier's anchored chunks, and the window tier's ragged ranges
+    pre-expanded into flat knot/fraction arrays.  Every quantity here
+    depends only on *times* — the edge deltas join at evaluation time —
+    which is what makes it reusable across ports, segments and runs of
+    a synchronized sweep."""
 
     ks_w: np.ndarray                 # per sample: first edge in (t−W, ·]
     ks_h: np.ndarray                 # per sample: first edge in (t−H, ·]
-    decay: np.ndarray | None         # e^{−λ t_e} (E, S), prefix path
+    chunks: list[_SlowChunk]         # slow tier, one per anchored chunk
     win_sample: np.ndarray | None    # window pairs: local sample row
     win_idx: np.ndarray | None       # window pairs: table knot index
     win_frac: np.ndarray | None      # window pairs: x − knot·step
     win_active: np.ndarray | None    # edges with a non-empty range
     win_lengths: np.ndarray | None   # range length of each active edge
-    pw_sample: np.ndarray | None     # pairwise slow pairs: sample row
-    pw_phases: np.ndarray | None     # pairwise slow pairs: e^{λ x}
-    pw_active: np.ndarray | None
-    pw_lengths: np.ndarray | None
 
 
 def _expand_ranges(
@@ -438,11 +455,37 @@ class CompiledChipKernel:
             ) from None
         return list(nodes), rows
 
+    def _chunks(self, times: np.ndarray) -> tuple[list[int], list[float]]:
+        """Split a sample grid into the slow tier's anchored chunks:
+        ``(bounds, anchors)`` with chunk ``c`` covering samples
+        ``[bounds[c], bounds[c + 1])`` at anchor ``anchors[c]``.  The
+        first chunk is anchored at ``t = 0`` (none is, when the grid
+        starts beyond one chunk span); every later chunk is anchored at
+        its first sample.  A chunk holds the samples whose exponent
+        ``max|Re λ_slow| · (t − anchor)`` stays within the budget."""
+        rate = self._slow_rate_max
+        fits = int(np.searchsorted(rate * times, _EXP_BUDGET, "right"))
+        bounds, anchors = ([0, fits], [0.0]) if fits else ([0], [])
+        while bounds[-1] < times.size:
+            lo = bounds[-1]
+            anchors.append(float(times[lo]))
+            fits = np.searchsorted(
+                rate * (times[lo:] - times[lo]), _EXP_BUDGET, "right"
+            )
+            bounds.append(lo + max(int(fits), 1))
+        return bounds, anchors
+
     def _phase_matrix(self, grid: SampleGrid) -> np.ndarray:
-        """``e^{λ_s t_m}`` (samples × lanes), built multiplicatively
-        from the grid's provenance when available."""
+        """``e^{λ_s (t_m − a_m)}`` (samples × lanes), ``a_m`` the anchor
+        of sample ``m``'s chunk.  A single chunk anchored at 0 — every
+        short segment — is built multiplicatively from the grid's
+        provenance when available."""
         lam = self._lanes
         times = grid.times
+        bounds, anchors = self._chunks(times)
+        if len(anchors) > 1 or anchors[0] != 0.0:
+            offset = times - np.repeat(anchors, np.diff(bounds))
+            return np.exp(offset[:, None] * lam[None, :])
         if not grid.has_provenance:
             return np.exp(times[:, None] * lam[None, :])
         base_step = grid.t_end / (grid.n_base - 1)
@@ -473,9 +516,10 @@ class CompiledChipKernel:
         et_key: bytes,
     ) -> "_TierIndex":
         """Content-memoized tier bookkeeping for one (sample grid, edge
-        train) pair: boundary indices and the expanded window-tier
-        (sample, elapsed-time) pairs.  Port-independent — every port
-        whose train shares the same edge instants reuses it."""
+        train) pair: boundary indices, the slow tier's anchored chunks
+        and the expanded window-tier (sample, elapsed-time) pairs.
+        Port-independent — every port whose train shares the same edge
+        instants reuses it."""
         key = (times_key, et_key)
         tiers = self._tier_cache.get(key)
         if tiers is None:
@@ -494,7 +538,16 @@ class CompiledChipKernel:
         t_h = times - self.horizon
         ks_w = np.searchsorted(et, t_w, side="left")
         ks_h = np.searchsorted(et, t_h, side="left")
-        prefix_ok = self._slow_rate_max * float(times[-1]) <= _EXP_BUDGET
+
+        # Slow tier: per anchored chunk, the decay factors of exactly
+        # the edges its samples read — edges past the grid or long
+        # expired never enter an exponential.
+        chunks = []
+        bounds, anchors = self._chunks(times)
+        for lo, hi, anchor in zip(bounds[:-1], bounds[1:], anchors):
+            e_lo, e_hi = int(ks_h[lo]), int(ks_w[hi - 1])
+            decay = np.exp(np.outer(et[e_lo:e_hi] - anchor, -self._lanes))
+            chunks.append(_SlowChunk(lo, hi, e_lo, decay))
 
         win_sample = win_idx = win_frac = win_active = win_lengths = None
         expanded = _expand_ranges(
@@ -509,26 +562,10 @@ class CompiledChipKernel:
                 (x / step).astype(np.intp), 0, self._n_knots - 2
             )
             win_frac = x - win_idx * step
-
-        decay = None
-        pw_sample = pw_phases = pw_active = pw_lengths = None
-        if prefix_ok:
-            decay = np.exp(np.outer(et, -self._lanes))
-        else:
-            expanded = _expand_ranges(
-                np.searchsorted(t_w, et, side="right"),
-                np.searchsorted(t_h, et, side="right"),
-            )
-            if expanded is not None:
-                pw_sample, pw_active, pw_lengths = expanded
-                x = times[pw_sample] - np.repeat(et[pw_active], pw_lengths)
-                pw_phases = np.exp(np.outer(x, self._lanes))
         return _TierIndex(
-            ks_w=ks_w, ks_h=ks_h, decay=decay,
+            ks_w=ks_w, ks_h=ks_h, chunks=chunks,
             win_sample=win_sample, win_idx=win_idx, win_frac=win_frac,
             win_active=win_active, win_lengths=win_lengths,
-            pw_sample=pw_sample, pw_phases=pw_phases,
-            pw_active=pw_active, pw_lengths=pw_lengths,
         )
 
     def solve_batch(
@@ -643,31 +680,28 @@ class CompiledChipKernel:
         )
         contrib += np.outer(d_at_h, self._dc[p, rows])
 
-        # Slow tier: prefix factorization when the exponents fit,
-        # pairwise evaluation otherwise.
+        # Slow tier: per anchored chunk, a local prefix sum over the
+        # edges the chunk reads and one small GEMM over its phase rows.
+        # The product stays one expression: NumPy elides the difference
+        # temporary by swapping the operands, complex products are not
+        # bitwise commutative, and this form keeps a single-chunk
+        # segment's floats those of the global factorization.
         mgw_p = np.ascontiguousarray(self._mgw[p][:, rows])
-        if tiers.decay is not None:
-            phases = self._phases_for(grid, times_key)
+        phases = self._phases_for(grid, times_key)
+        for lo, hi, e_lo, decay in tiers.chunks:
+            d_chunk = deltas[e_lo:e_lo + decay.shape[0]]
             p_prefix = np.concatenate([
                 np.zeros((1, n_lanes), dtype=complex),
-                np.cumsum(deltas[:, None] * tiers.decay, axis=0),
+                np.cumsum(d_chunk[:, None] * decay, axis=0),
             ])
-            contrib += np.real(
-                (phases * (p_prefix[tiers.ks_w] - p_prefix[tiers.ks_h]))
-                @ mgw_p
-            )
-        elif tiers.pw_sample is not None:
-            d_pair = np.repeat(deltas[tiers.pw_active], tiers.pw_lengths)
-            weighted = d_pair[:, None] * np.real(tiers.pw_phases @ mgw_p)
-            for j in range(rows.size):
-                contrib[:, j] += np.bincount(
-                    tiers.pw_sample,
-                    weights=weighted[:, j],
-                    minlength=times.size,
-                )
+            contrib[lo:hi] += np.real((phases[lo:hi] * (
+                p_prefix[tiers.ks_w[lo:hi] - e_lo]
+                - p_prefix[tiers.ks_h[lo:hi] - e_lo]
+            )) @ mgw_p)
 
         # Window tier: gather the packed (value | slope) table rows for
-        # every (sample, edge) pair, interpolate, scatter-accumulate.
+        # every (sample, edge) pair, interpolate, and scatter-accumulate
+        # all node columns in one bincount over ``sample · R + column``.
         if tiers.win_sample is not None:
             n = len(self.nodes)
             wpack_p = self._wpack[p][:, np.concatenate([rows, rows + n])]
@@ -676,12 +710,10 @@ class CompiledChipKernel:
             vals = packed[:, :r] + tiers.win_frac[:, None] * packed[:, r:]
             d_pair = np.repeat(deltas[tiers.win_active], tiers.win_lengths)
             weighted = d_pair[:, None] * vals
-            for j in range(r):
-                contrib[:, j] += np.bincount(
-                    tiers.win_sample,
-                    weights=weighted[:, j],
-                    minlength=times.size,
-                )
+            bins = (tiers.win_sample[:, None] * r + np.arange(r)).ravel()
+            contrib += np.bincount(
+                bins, weights=weighted.ravel(), minlength=times.size * r
+            ).reshape(times.size, r)
         return contrib
 
     def stepping_solver(

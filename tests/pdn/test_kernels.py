@@ -1,8 +1,10 @@
 """The compiled batched chip kernel: compilation, memoization,
-equivalence against the reference superposition, and the contribution
-cache."""
+equivalence against the reference superposition (including long,
+multi-chunk segments), and the contribution cache."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +114,97 @@ class TestEquivalence:
             kernel.evaluate([a, b], times),
             kernel.evaluate([merged], times),
         )
+
+
+def provenance_grid(trains: list[EdgeTrain], t_end: float,
+                    n_base: int) -> SampleGrid:
+    """A dense-near-edges grid recording its construction, the way the
+    chip runner assembles segment grids."""
+    base = np.linspace(0.0, t_end, n_base)
+    anchors = np.concatenate([train.times for train in trains])
+    offsets = np.geomspace(40e-9, 4e-6, 12)
+    probes = (anchors[:, None] + offsets[None, :]).ravel()
+    keep = (probes >= 0.0) & (probes <= t_end)
+    times, first_index = np.unique(
+        np.concatenate([base, probes[keep]]), return_index=True
+    )
+    return SampleGrid(
+        times=times, t_end=t_end, n_base=n_base, anchors=anchors,
+        offsets=offsets, probe_mask=keep, first_index=first_index,
+    )
+
+
+def assert_matches_reference(library, kernel, trains, times, nodes):
+    fast = kernel.evaluate(trains, times, nodes=nodes)
+    for row, node in enumerate(nodes):
+        reference = assemble_voltage(library, node, trains, times)
+        assert np.abs(fast[row] - reference).max() < KERNEL_TOLERANCE_V
+
+
+class TestLongSegments:
+    """Segments longer than one slow-tier chunk span (a low-frequency
+    Fig. 7a point: ~745 µs, 24 edges per port)."""
+
+    def test_multi_chunk_train_matches_reference(self, chip, library,
+                                                 kernel):
+        trains = [
+            square_train(port, delta=20.0 + 3.0 * i, freq=16e3, n=12)
+            for i, port in enumerate(chip.core_ports[:2])
+        ]
+        times = np.linspace(0.0, 745e-6, 6000)
+        assert len(kernel._chunks(times)[1]) >= 8
+        assert_matches_reference(library, kernel, trains, times,
+                                 chip.core_nodes)
+
+    def test_edge_on_chunk_seam(self, chip, library, kernel):
+        times = np.linspace(0.0, 400e-6, 4000)
+        bounds, anchors = kernel._chunks(times)
+        assert len(anchors) >= 3
+        seam = anchors[1]
+        assert seam == times[bounds[1]]
+        train = EdgeTrain(
+            chip.core_ports[0],
+            np.array([seam - 20e-6, seam, anchors[2]]),
+            np.array([25.0, -12.0, 7.0]),
+        )
+        assert_matches_reference(library, kernel, [train], times,
+                                 chip.core_nodes[:2])
+
+    def test_grid_starting_late(self, chip, library, kernel):
+        """A grid starting beyond one chunk span has no chunk anchored
+        at t = 0; edges before the grid still contribute."""
+        train = square_train(chip.core_ports[1], delta=18.0, freq=40e3,
+                             n=10)
+        times = np.linspace(150e-6, 450e-6, 3000)
+        _, anchors = kernel._chunks(times)
+        assert anchors[0] == times[0]
+        assert_matches_reference(library, kernel, [train], times,
+                                 chip.core_nodes[:3])
+
+    def test_sample_grid_matches_raw_times(self, chip, kernel):
+        trains = [square_train(chip.core_ports[2], freq=16e3, n=12)]
+        grid = provenance_grid(trains, t_end=745e-6, n_base=4096)
+        assert grid.has_provenance
+        assert len(kernel._chunks(grid.times)[1]) >= 8
+        assert np.array_equal(
+            kernel.evaluate(trains, grid.times),
+            kernel.evaluate(trains, grid),
+        )
+
+    def test_edges_past_the_grid_raise_no_warning(self, chip, library,
+                                                  kernel):
+        """Edges after the last sample never enter an exponential, so
+        nothing overflows even though the grid could not absorb them."""
+        train = EdgeTrain(
+            chip.core_ports[0],
+            np.array([0.0, 5e-6, 600e-6]),
+            np.array([20.0, -20.0, 5.0]),
+        )
+        times = np.linspace(0.0, 40e-6, 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(library, kernel, [train], times,
+                                     chip.core_nodes)
 
 
 class TestErrors:
