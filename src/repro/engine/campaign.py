@@ -30,6 +30,7 @@ analogue of the disk cache's corruption quarantine.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -281,15 +282,16 @@ class CampaignManifest:
         :class:`~repro.errors.ConcurrencyError`.  ``retry=None``
         restores the fail-fast behavior.
 
-        A lock left behind by a dead process is *broken via atomic
-        rename*: every would-be breaker renames the stale lockfile
-        aside to a per-pid name, so exactly one breaker wins the inode
-        even when several observe the dead holder simultaneously (the
-        unlink-and-recreate race this replaces let two processes both
-        "acquire").  Acquisition is additionally re-verified — the
-        lockfile must still hold this writer's unique token after the
-        create — so a raced acquisition is detected and retried rather
-        than silently shared.
+        The lockfile appears with its unique token already in it (the
+        token is staged in a private file and hard-linked into place),
+        so no writer ever observes a half-written lock.  A lock left
+        behind by a dead process is *broken under a guard*: breakers
+        serialize on an ``flock`` of the manifest directory, re-read
+        the lockfile inside it, and unlink it only if it still holds
+        the dead holder's token.  A live writer's lock is therefore
+        never removed or replaced by anyone but its owner — renaming a
+        suspect lock aside and restoring it could resurrect a lock its
+        owner had already released, wedging every writer for good.
 
         The lock is reentrant within the owning thread: nested
         ``writer_lock()`` blocks on the same instance (e.g. a
@@ -342,66 +344,44 @@ class CampaignManifest:
     def _try_acquire(self, token: str) -> bool:
         """One acquisition attempt.  Returns True when this writer now
         owns the lock, False when the attempt should be repeated (a
-        stale lock was broken, or a race was detected), and raises
-        :class:`~repro.errors.ConcurrencyError` on a live holder."""
+        stale lock was broken, or the lock vanished mid-read), and
+        raises :class:`~repro.errors.ConcurrencyError` on a live
+        holder."""
+        staged = self.lock_path.with_name(
+            f"{self.lock_path.name}.{token.replace(':', '-')}"
+        )
+        staged.write_text(token)
         try:
-            fd = os.open(self.lock_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+            os.link(staged, self.lock_path)
+            return True
         except FileExistsError:
-            observed = self._lock_token()
-            if observed is None:
-                # Vanished or unreadable mid-break: retry the create.
-                return False
-            holder = _token_pid(observed)
-            if holder is not None and self._alive(holder):
-                raise ConcurrencyError(
-                    f"manifest {self.path} is locked by live writer "
-                    f"pid {holder}; two shard processes must not "
-                    f"share one manifest path"
-                )
-            self._break_stale(observed)
-            return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(token)
-        # Re-verify ownership: a breaker that observed the *previous*
-        # dead holder may have renamed our fresh lock away in the
-        # window between its staleness check and its rename.  Owning
-        # means the file still carries our token.
-        return self._lock_token() == token
+            pass
+        finally:
+            staged.unlink()
+        observed = self._lock_token()
+        if observed is None:
+            return False  # released (or broken) since the link failed
+        holder = _token_pid(observed)
+        if holder is not None and self._alive(holder):
+            raise ConcurrencyError(
+                f"manifest {self.path} is locked by live writer "
+                f"pid {holder}; two shard processes must not "
+                f"share one manifest path"
+            )
+        self._break_stale(observed)
+        return False
 
     def _break_stale(self, observed: str) -> None:
-        """Break the stale lock whose content is *observed*, via atomic
-        rename so exactly one of several simultaneous breakers wins."""
-        trash = self.lock_path.with_name(
-            f"{self.lock_path.name}.break-{os.getpid()}"
-        )
+        """Remove the stale lock whose content is *observed* — unless
+        another breaker got there first and the lockfile now belongs to
+        a fresh writer."""
+        guard = os.open(self.lock_path.parent, os.O_RDONLY)
         try:
-            os.replace(self.lock_path, trash)
-        except OSError:
-            return  # another breaker won the rename
-        try:
-            stolen = trash.read_text()
-        except OSError:
-            stolen = None
-        try:
-            trash.unlink()
-        except OSError:  # pragma: no cover - cleanup is best effort
-            pass
-        if stolen is not None and stolen != observed:
-            # We renamed a lock that was re-created by someone else
-            # between our staleness read and our rename.  If its owner
-            # is alive, restore it (best effort — the owner's own
-            # re-verification catches the remaining window).
-            pid = _token_pid(stolen)
-            if pid is not None and self._alive(pid):
-                try:
-                    fd = os.open(
-                        self.lock_path,
-                        os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                    )
-                    with os.fdopen(fd, "w") as handle:
-                        handle.write(stolen)
-                except OSError:  # somebody already re-created it
-                    pass
+            fcntl.flock(guard, fcntl.LOCK_EX)
+            if self._lock_token() == observed:
+                self.lock_path.unlink(missing_ok=True)
+        finally:
+            os.close(guard)  # closing the descriptor drops the flock
 
     def _lock_token(self) -> str | None:
         try:

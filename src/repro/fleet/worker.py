@@ -254,6 +254,7 @@ class FleetWorker:
                     self._execute(point)
         finally:
             self.state = "draining" if self._draining.is_set() else "stopped"
+            self._close_serve_client()
             self._hb_stop.set()
             heartbeat.join(timeout=5.0)
             with self._held_lock:
@@ -443,11 +444,17 @@ class FleetWorker:
             self._count("fleet.serve_hits")
         except (OSError, ProtocolError, pickle.PickleError) as error:
             self._serve_down = True
+            self._close_serve_client()
             self.telemetry.emit(
                 "fleet.serve.unavailable",
                 worker=self.worker_id,
                 error=f"{type(error).__name__}: {error}",
             )
+
+    def _close_serve_client(self) -> None:
+        if self._serve_client is not None:
+            self._serve_client.close()
+            self._serve_client = None
 
     # -- heartbeat -------------------------------------------------------
     def _heartbeat_loop(self) -> None:

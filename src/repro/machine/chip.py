@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..measure.skitter import SkitterConfig, SkitterMacro
 from ..pdn.kernels import CompiledChipKernel, compile_kernel
@@ -135,6 +137,17 @@ class Chip:
         if self.row_of(observer) == self.row_of(source):
             return self.config.ssn_row_weight
         return self.config.ssn_cross_weight
+
+    @cached_property
+    def coupling_matrix(self) -> np.ndarray:
+        """``coupling_weight(observer, source)`` for every core pair,
+        observers along the rows (read-only: every segment shares it)."""
+        matrix = np.array([
+            [self.coupling_weight(observer, source) for source in range(self.n_cores)]
+            for observer in range(self.n_cores)
+        ])
+        matrix.flags.writeable = False
+        return matrix
 
     # -- cached solver artifacts -----------------------------------------
     @cached_property

@@ -608,9 +608,5 @@ class ChipRunner:
             cols = amps[:, c == core]
             if cols.size:
                 per_core[:, core] = cols.max(axis=1)
-        weights = np.array([
-            [chip.coupling_weight(observer, core) for core in range(n_cores)]
-            for observer in range(n_cores)
-        ])
-        totals = per_core @ weights.T           # (windows, observers)
+        totals = per_core @ chip.coupling_matrix.T   # (windows, observers)
         return [float(v) for v in totals.max(axis=0)]

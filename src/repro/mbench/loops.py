@@ -4,11 +4,18 @@ The EPI skeleton follows the paper exactly: "an endless loop with 4000
 repetitions of the instruction, without dependencies".  Dependence
 freedom is achieved by rotating destination registers through a pool
 and reading from registers outside it.
+
+Rotation is periodic: every pool advances by the same amount on each
+pass over a loop's sequence, so each instruction's operands repeat
+after at most ``lcm(6, 4, 16) = 48`` passes.  Builders render one
+period and tile it, which yields exactly the body a pass-by-pass
+renderer would (equal instances, element for element) at a fraction
+of the cost.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Sequence
 
 from ..errors import GenerationError
@@ -37,43 +44,123 @@ _DEST_VRS = [f"v{i}" for i in range(4, 10)]
 _SRC_VRS = [f"v{i}" for i in range(10, 14)]
 _MEM_SLOTS = [f"{disp}(r2)" for disp in range(0, 4096, 256)]
 
+#: Every rotating pool, indexed by position in this tuple.
+_POOLS = (
+    _DEST_GPRS, _SRC_GPRS, _DEST_FPRS, _SRC_FPRS, _DEST_VRS, _SRC_VRS, _MEM_SLOTS,
+)
+_POOL_SIZES = tuple(len(values) for values in _POOLS)
+#: (register kind, is_written) → the pool it draws from.
+_REGISTER_POOL = {
+    (OperandKind.GPR, True): 0,
+    (OperandKind.GPR, False): 1,
+    (OperandKind.FPR, True): 2,
+    (OperandKind.FPR, False): 3,
+    (OperandKind.VR, True): 4,
+    (OperandKind.VR, False): 5,
+}
+_MEM_POOL = 6
 
-class _OperandMaterializer:
-    """Stateful operand renderer with register rotation."""
+_IMMEDIATE = "7"
+#: Branch targets inside straight-line bodies fall through to the next
+#: instruction (never-taken compare-and-branch keeps the front end busy
+#: without redirecting fetch).
+_SKIP_LABEL = "fallthrough"
 
-    def __init__(self, skip_label: str):
-        self.skip_label = skip_label
-        self._dest = {
-            OperandKind.GPR: itertools.cycle(_DEST_GPRS),
-            OperandKind.FPR: itertools.cycle(_DEST_FPRS),
-            OperandKind.VR: itertools.cycle(_DEST_VRS),
-        }
-        self._src = {
-            OperandKind.GPR: itertools.cycle(_SRC_GPRS),
-            OperandKind.FPR: itertools.cycle(_SRC_FPRS),
-            OperandKind.VR: itertools.cycle(_SRC_VRS),
-        }
-        self._mem = itertools.cycle(_MEM_SLOTS)
 
-    def materialize(self, definition: InstructionDef) -> InstructionInstance:
-        values: list[str] = []
-        for operand in definition.operands:
-            if operand.kind in self._dest:
-                pool = self._dest if operand.is_written else self._src
-                values.append(next(pool[operand.kind]))
-            elif operand.kind is OperandKind.IMMEDIATE:
-                values.append("7")
-            elif operand.kind is OperandKind.MEMORY:
-                values.append(next(self._mem))
-            elif operand.kind is OperandKind.LABEL:
-                # Branch targets inside straight-line bodies fall
-                # through to the next instruction (never-taken
-                # compare-and-branch keeps the front end busy without
-                # redirecting fetch).
-                values.append(self.skip_label)
-            else:  # pragma: no cover - enum is closed
-                raise GenerationError(f"unsupported operand kind {operand.kind}")
-        return InstructionInstance(definition, tuple(values))
+def _operand_plan(
+    definition: InstructionDef,
+) -> tuple[tuple[str | tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
+    """How to render *definition*'s operands, derived once per build.
+
+    Returns the operand slots (a constant string, or ``(pool, k)``: the
+    k-th draw this instruction makes from that pool), the pools it
+    draws from, and how many draws it makes from each of them."""
+    slots: list[str | tuple[int, int]] = []
+    draws = [0] * len(_POOLS)
+    for operand in definition.operands:
+        kind = operand.kind
+        if kind is OperandKind.IMMEDIATE:
+            slots.append(_IMMEDIATE)
+            continue
+        if kind is OperandKind.LABEL:
+            slots.append(_SKIP_LABEL)
+            continue
+        if kind is OperandKind.MEMORY:
+            pool = _MEM_POOL
+        else:
+            pool = _REGISTER_POOL.get((kind, operand.is_written))
+            if pool is None:  # pragma: no cover - enum is closed
+                raise GenerationError(f"unsupported operand kind {kind}")
+        slots.append((pool, draws[pool]))
+        draws[pool] += 1
+    pools = tuple(pool for pool, count in enumerate(draws) if count)
+    return tuple(slots), pools, tuple(draws[pool] for pool in pools)
+
+
+def _render_passes(
+    sequence: Sequence[InstructionDef], passes: int
+) -> list[InstructionInstance]:
+    """*passes* copies of *sequence* with rotating operands.
+
+    Pool positions are integers mod the pool length, and every pass
+    moves each pool by the same step.  So the instruction in slot ``j``
+    of the sequence finds the pools it draws from back in the same
+    state every ``P_j`` passes (at most ``lcm(6, 4, 16) = 48``): its
+    column of the body is rendered for one period and tiled.  Within
+    this call, a slot starting from a state an earlier slot of the same
+    instruction started from reuses that column, and an instruction met
+    again with the same operands reuses that (frozen) instance.
+    """
+    width = len(sequence)
+    plans = {
+        key: _operand_plan(definition)
+        for key, definition in dict(zip(map(id, sequence), sequence)).items()
+    }
+    step = [0] * len(_POOLS)
+    for definition in sequence:
+        _, pools, draws = plans[id(definition)]
+        for pool, count in zip(pools, draws):
+            step[pool] += count
+    cycle = [size // math.gcd(size, count) for size, count in zip(_POOL_SIZES, step)]
+    periods = {
+        key: math.lcm(*(cycle[pool] for pool in pools))
+        for key, (_, pools, _) in plans.items()
+    }
+
+    position = [0] * len(_POOLS)
+    columns: dict[tuple[int, ...], list[InstructionInstance]] = {}
+    instances: dict[int, dict[tuple[str, ...], InstructionInstance]] = {}
+    body: list[InstructionInstance] = [None] * (passes * width)  # type: ignore[list-item]
+    for j, definition in enumerate(sequence):
+        key = id(definition)
+        slots, pools, draws = plans[key]
+        start = (key, *map(position.__getitem__, pools))
+        column = columns.get(start)
+        if column is None:
+            n = min(periods[key], passes)
+            # Operand values of passes 0..n-1, one list per operand.
+            operands = [
+                [slot] * n if isinstance(slot, str) else [
+                    _POOLS[slot[0]][
+                        (position[slot[0]] + slot[1] + t * step[slot[0]])
+                        % _POOL_SIZES[slot[0]]
+                    ]
+                    for t in range(n)
+                ]
+                for slot in slots
+            ]
+            rendered = instances.setdefault(key, {})
+            column = []
+            for values in zip(*operands) if slots else [()]:
+                instance = rendered.get(values)
+                if instance is None:
+                    instance = rendered[values] = InstructionInstance(definition, values)
+                column.append(instance)
+            column = columns[start] = (column * -(-passes // n))[:passes]
+        body[j::width] = column
+        for pool, count in zip(pools, draws):
+            position[pool] = (position[pool] + count) % _POOL_SIZES[pool]
+    return body
 
 
 def find_loop_branch(isa: Isa) -> InstructionDef:
@@ -97,7 +184,6 @@ def _close_loop(
     isa: Isa, body: list[InstructionInstance], label: str
 ) -> list[InstructionInstance]:
     branch = find_loop_branch(isa)
-    materializer = _OperandMaterializer(skip_label=label)
     values = tuple(
         label if op.kind is OperandKind.LABEL else "r3"
         for op in branch.operands
@@ -117,9 +203,7 @@ def build_epi_loop(
     if repetitions < 1:
         raise GenerationError("repetitions must be >= 1")
     label = f"epi_{definition.mnemonic.lower()}"
-    materializer = _OperandMaterializer(skip_label="fallthrough")
-    body = [materializer.materialize(definition) for _ in range(repetitions)]
-    body = _close_loop(isa, body, label)
+    body = _close_loop(isa, _render_passes((definition,), repetitions), label)
     return Program(
         name=f"epi-{definition.mnemonic}",
         loop_body=body,
@@ -146,12 +230,7 @@ def build_sequence_loop(
     if unroll < 1:
         raise GenerationError("unroll must be >= 1")
     label = "seq_loop"
-    materializer = _OperandMaterializer(skip_label="fallthrough")
-    body = [
-        materializer.materialize(definition)
-        for _ in range(unroll)
-        for definition in sequence
-    ]
+    body = _render_passes(sequence, unroll)
     if close_with_branch:
         body = _close_loop(isa, body, label)
     return Program(

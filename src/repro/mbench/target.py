@@ -43,9 +43,9 @@ class Target:
         The profile is memoized on the program object (keyed by this
         target's core config): generated programs are immutable after
         construction, and one EPI measurement reads the same program's
-        profile from the meter, the counters and the energy model —
-        re-deriving a 4000-instruction profile three times per ISA
-        entry dominates generation wall clock."""
+        profile from both the power meter and the counters, so the
+        memo halves the per-element throughput passes over each EPI
+        body."""
         memo = getattr(program, "_profile_memo", None)
         if memo is not None and memo[0] is self.core:
             return memo[1]

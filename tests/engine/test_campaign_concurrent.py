@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,7 +86,7 @@ def _counter_worker(path: str, barrier, counter: str, rounds: int) -> None:
     for _ in range(rounds):
         def bump() -> None:
             with manifest.writer_lock():
-                value = int(open(counter).read())
+                value = int(Path(counter).read_text())
                 with open(counter, "w") as handle:
                     handle.write(str(value + 1))
         _until_locked(bump)
@@ -101,6 +102,10 @@ def _run(target, argslist):
         proc.start()
     for proc in procs:
         proc.join(timeout=120)
+    for proc in procs:
+        if proc.is_alive():  # wedged: fail the test, don't hang the session
+            proc.terminate()
+            proc.join()
     assert all(proc.exitcode == 0 for proc in procs)
 
 
@@ -158,7 +163,7 @@ class TestConcurrentWriters:
                 for n in range(PROCS)
             ],
         )
-        grants = [json.load(open(out)) for out in outs]
+        grants = [json.loads(Path(out).read_text()) for out in outs]
         flat = [point for grant in grants for point in grant]
         assert len(flat) == len(set(flat)), "a run was claimed twice"
         assert set(flat) == set(points)

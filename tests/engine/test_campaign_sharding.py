@@ -47,6 +47,22 @@ class TestWriterLock:
         with manifest.writer_lock():
             pass
 
+    def test_late_breaker_leaves_a_live_lock_alone(self, manifest):
+        """A breaker that observed a dead holder's token, but acts only
+        after someone else broke it and re-acquired, must not touch
+        the new owner's lock — nor resurrect it after its release."""
+        process = subprocess.Popen([sys.executable, "-c", "pass"])
+        process.wait()
+        stale = str(process.pid)
+        late = CampaignManifest(manifest.path)
+        with manifest.writer_lock():
+            owned = manifest._lock_token()
+            late._break_stale(stale)
+            assert manifest._lock_token() == owned
+        late._break_stale(stale)
+        assert not manifest.lock_path.exists()
+        assert [p.name for p in manifest.path.parent.iterdir()] == []
+
     def test_released_after_exception(self, manifest):
         with pytest.raises(RuntimeError):
             with manifest.writer_lock():

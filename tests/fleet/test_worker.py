@@ -200,11 +200,20 @@ class TestServeProbe:
         assert summary["completed"] == campaign.total_unique
 
     def test_warm_endpoint_feeds_the_fleet(self, campaign, tiny_context,
-                                           tmp_path):
+                                           tmp_path, monkeypatch):
         """A serve endpoint whose disk tier already holds the campaign
-        answers every fetch — the fleet executes nothing."""
-        from repro.serve import SimulationService, start_server
+        answers every fetch — the fleet executes nothing — and the
+        worker closes its connection when the loop ends."""
+        from repro.serve import SimulationService, client, start_server
 
+        opened = []
+
+        class RecordingClient(client.ServeClient):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(client, "ServeClient", RecordingClient)
         telemetry = Telemetry()
         warm = ResultCache(cache_dir=tmp_path / "serve-cache")
         execute_plan(
@@ -230,3 +239,45 @@ class TestServeProbe:
         assert summary["completed"] == campaign.total_unique
         assert telemetry.counter("engine.runs_executed") == 0
         assert telemetry.counter("fleet.serve_hits") == campaign.total_unique
+        assert len(opened) == 1
+        assert opened[0]._sock.fileno() == -1
+        assert worker._serve_client is None
+
+    def test_endpoint_going_down_closes_the_connection(
+        self, campaign, tiny_context, tmp_path, monkeypatch
+    ):
+        """The error that marks the endpoint down also closes the
+        connection, without waiting for the loop to end."""
+        from repro.serve import client
+
+        opened = []
+
+        class DroppingClient:
+            """Answers one miss, then loses the connection."""
+
+            def __init__(self, host, port):
+                self.fetches = 0
+                self.closed = False
+                opened.append(self)
+
+            def fetch(self, fingerprint):
+                self.fetches += 1
+                if self.fetches > 1:
+                    raise ConnectionResetError("endpoint went away")
+                return None
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(client, "ServeClient", DroppingClient)
+        worker = make_worker(
+            campaign, tiny_context.chip, tmp_path, serve=("127.0.0.1", 1)
+        )
+        first, second = list(campaign.unique)[:2]
+        worker._probe_serve(first)
+        assert worker._serve_client is opened[0]
+        assert not opened[0].closed
+        worker._probe_serve(second)
+        assert worker._serve_down is True
+        assert opened[0].closed
+        assert worker._serve_client is None

@@ -1,8 +1,12 @@
 """Microbenchmark loop builder tests."""
 
+import random
+from itertools import cycle
+
 import pytest
 
 from repro.errors import GenerationError
+from repro.isa.operands import OperandKind
 from repro.mbench.loops import (
     EPI_REPETITIONS,
     build_epi_loop,
@@ -87,3 +91,96 @@ class TestLoopBranchSelection:
 
     def test_deterministic(self, isa):
         assert find_loop_branch(isa).mnemonic == find_loop_branch(isa).mnemonic
+
+
+# -- exactness against a naive renderer ---------------------------------
+
+def naive_renderer():
+    """Render one instruction at a time, cycling every operand pool: the
+    rotation the builders must reproduce element for element."""
+    registers = {
+        (OperandKind.GPR, True): cycle([f"r{i}" for i in range(4, 10)]),
+        (OperandKind.GPR, False): cycle([f"r{i}" for i in range(10, 14)]),
+        (OperandKind.FPR, True): cycle([f"f{i}" for i in range(4, 10)]),
+        (OperandKind.FPR, False): cycle([f"f{i}" for i in range(10, 14)]),
+        (OperandKind.VR, True): cycle([f"v{i}" for i in range(4, 10)]),
+        (OperandKind.VR, False): cycle([f"v{i}" for i in range(10, 14)]),
+    }
+    memory = cycle([f"{disp}(r2)" for disp in range(0, 4096, 256)])
+
+    def render(definition):
+        values = []
+        for operand in definition.operands:
+            if operand.kind is OperandKind.IMMEDIATE:
+                values.append("7")
+            elif operand.kind is OperandKind.LABEL:
+                values.append("fallthrough")
+            elif operand.kind is OperandKind.MEMORY:
+                values.append(next(memory))
+            else:
+                values.append(next(registers[operand.kind, operand.is_written]))
+        return tuple(values)
+
+    return render
+
+
+def naive_elements(sequence, passes):
+    render = naive_renderer()
+    return [(d, render(d)) for _ in range(passes) for d in sequence]
+
+
+def elements(program):
+    return [(inst.definition, inst.operand_values) for inst in program.loop_body]
+
+
+def closing_element(isa, label):
+    branch = find_loop_branch(isa)
+    return (branch, tuple(
+        label if op.kind is OperandKind.LABEL else "r3" for op in branch.operands
+    ))
+
+
+class TestExactRendering:
+    @pytest.mark.parametrize("repetitions", [1, 2, 7, 47, 48, 49, 400])
+    def test_epi_loops_match_naive_rendering(self, isa, repetitions):
+        # The naive rendering depends on the operand signature alone,
+        # so it is derived once per signature.
+        by_signature = {}
+        for definition in isa:
+            signature = tuple((op.kind, op.is_written) for op in definition.operands)
+            if signature not in by_signature:
+                by_signature[signature] = [
+                    values for _, values in naive_elements((definition,), repetitions)
+                ]
+            expected = [(definition, values) for values in by_signature[signature]]
+            expected.append(
+                closing_element(isa, f"epi_{definition.mnemonic.lower()}")
+            )
+            program = build_epi_loop(isa, definition, repetitions=repetitions)
+            assert elements(program) == expected, definition.mnemonic
+
+    @pytest.mark.parametrize("unroll", [1, 3, 21])
+    def test_sequence_loops_match_naive_rendering(self, isa, unroll):
+        rng = random.Random(20140613 + unroll)
+        definitions = list(isa)
+        for _ in range(400):
+            sequence = tuple(rng.choice(definitions) for _ in range(rng.randint(1, 8)))
+            expected = naive_elements(sequence, unroll)
+            open_loop = build_sequence_loop(
+                isa, sequence, unroll=unroll, close_with_branch=False
+            )
+            assert elements(open_loop) == expected
+            closed = build_sequence_loop(isa, sequence, unroll=unroll)
+            assert elements(closed) == expected + [closing_element(isa, "seq_loop")]
+
+    def test_stressmark_shaped_sequences_match_naive_rendering(self, isa):
+        """Long single-pass sequences made of repeated phases (the
+        stressmark builder's shape)."""
+        high = (isa["VERLLQ"], isa["VERLLQ"], isa["CIB"], isa["AXBR2"])
+        low = (isa["CIB"], isa["LG"])
+        for high_reps, low_reps in [(1, 1), (5, 64), (64, 3), (64, 64)]:
+            sequence = list(high) * high_reps + list(low) * low_reps
+            program = build_sequence_loop(isa, sequence, unroll=1)
+            assert elements(program) == naive_elements(sequence, 1) + [
+                closing_element(isa, "seq_loop")
+            ]
