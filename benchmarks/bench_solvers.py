@@ -92,7 +92,10 @@ def _kernel_cross_validate():
     kernel = compile_kernel(chip.response_library)
     t_compile = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batched = runner.run_batch(mappings, options, run_tags=tags, kernel=kernel)
+    batched = [
+        runner.run(mapping, options, tag, kernel=kernel)
+        for mapping, tag in zip(mappings, tags)
+    ]
     t_batched = time.perf_counter() - t0
 
     worst = [0.0] * len(mappings)

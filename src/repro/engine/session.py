@@ -52,12 +52,18 @@ from ..machine.chip import Chip, ChipConfig
 from ..machine.runner import ChipRunner, RunOptions, RunResult
 from ..machine.workload import CurrentProgram
 from ..obs import Telemetry, get_telemetry
+from ..pdn.kernels import CompiledChipKernel
 from .cache import ResultCache, global_cache
-from .executor import Executor, SerialExecutor, chunked, make_executor
+from .executor import Executor, make_executor
 from .fingerprint import canonical, chip_fingerprint, run_fingerprint
-from .resilience import GuardedOutcome, RetryPolicy, RunFailure
+from .resilience import RetryPolicy, RunFailure
 
-__all__ = ["SimulationSession", "BACKENDS", "resolve_backend_name"]
+__all__ = [
+    "SimulationSession",
+    "BACKENDS",
+    "resolve_backend_name",
+    "resolve_kernel",
+]
 
 Mapping = Sequence[CurrentProgram | None]
 
@@ -70,11 +76,6 @@ FAILURE_MODES = ("raise", "collect")
 #: fails; the explicit names force one path.  The choice never enters
 #: run fingerprints — backend must not change the cache key.
 BACKENDS = ("auto", "reference", "batched")
-
-#: Contiguous runs per batched-dispatch unit: the cache-checkpoint
-#: granularity of the batched backend (each batch flushes its finished
-#: runs to the cache before the next batch starts).
-_BATCH_RUNS = 32
 
 _UNSET = object()
 
@@ -90,6 +91,37 @@ def resolve_backend_name(backend: str | None) -> str:
             f"backend must be one of {BACKENDS} (got {backend!r})"
         )
     return backend
+
+
+def resolve_kernel(
+    chip: Chip, backend: str, telemetry: Telemetry
+) -> CompiledChipKernel | None:
+    """The compiled kernel a resolved *backend* name solves *chip*
+    with, or ``None`` for the reference solver.
+
+    ``"reference"`` never compiles.  Otherwise the kernel is compiled
+    (memoized per chip fingerprint, so a warm process pays nothing),
+    timed into the ``engine.kernel.compile_seconds`` timer.  When
+    compilation fails its self-check, ``"auto"`` falls back to the
+    reference solver (counted in ``engine.kernel.fallbacks``, one
+    ``kernel.fallback`` event) and an explicit ``"batched"`` propagates
+    the :class:`~repro.errors.SolverError`.
+    """
+    if backend == "reference":
+        return None
+    try:
+        with telemetry.time("engine.kernel.compile_seconds"):
+            return chip.compiled_kernel
+    except SolverError as error:
+        if backend == "batched":
+            raise
+        telemetry.increment("engine.kernel.fallbacks")
+        telemetry.emit(
+            "kernel.fallback",
+            chip=chip.chip_id,
+            error=f"{type(error).__name__}: {error}",
+        )
+        return None
 
 
 class SimulationSession:
@@ -168,7 +200,6 @@ class SimulationSession:
         self.on_failure = on_failure
         self.executor = self._wire_faults(executor, faults)
         self.telemetry = telemetry or get_telemetry()
-        self.runner = ChipRunner(chip)
         self._chip_fp = chip_fingerprint(chip)
 
     @staticmethod
@@ -205,30 +236,13 @@ class SimulationSession:
         """The concrete solve path (``"reference"`` or ``"batched"``)
         this session executes with.
 
-        Lazy and resolved at most once: ``"auto"`` tries to compile the
-        chip's kernel (memoized per chip fingerprint, so a warm process
-        pays nothing) and falls back to the reference solver when
-        compilation fails its self-check; an explicit ``"batched"``
-        propagates the :class:`~repro.errors.SolverError` instead.
+        Lazy and resolved at most once, by :func:`resolve_kernel`.
         """
         if self._resolved_backend is None:
-            if self.backend == "reference":
-                self._resolved_backend = "reference"
-            else:
-                try:
-                    with self.telemetry.time("engine.kernel.compile_seconds"):
-                        self.chip.compiled_kernel
-                    self._resolved_backend = "batched"
-                except SolverError as error:
-                    if self.backend == "batched":
-                        raise
-                    self.telemetry.increment("engine.kernel.fallbacks")
-                    self.telemetry.emit(
-                        "kernel.fallback",
-                        chip=self.chip.chip_id,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    self._resolved_backend = "reference"
+            kernel = resolve_kernel(self.chip, self.backend, self.telemetry)
+            self._resolved_backend = (
+                "reference" if kernel is None else "batched"
+            )
         return self._resolved_backend
 
     # -- single runs ----------------------------------------------------
@@ -260,14 +274,13 @@ class SimulationSession:
     ) -> list[RunResult]:
         """Execute a batch of independent runs, in input order.
 
-        Cache hits are replayed; distinct misses are deduplicated and —
-        all addressed to this session's chip fingerprint — dispatched
-        as contiguous batches through the compiled kernel on the
-        batched backend, or fanned out over the session executor
-        (chunked, so each worker process rebuilds the chip once per
-        batch) otherwise.  Finished runs are checkpointed to the cache
-        as they complete, so an interrupted batch resumes from where it
-        died.
+        Cache hits are replayed; distinct misses are deduplicated and
+        each executes once through the session executor's guarded path
+        (retry policy, per-run latency, structured failures) — in
+        process on the serial executor, chunked over worker processes
+        on a pool (each worker rebuilds the chip once).  Finished runs
+        are checkpointed to the cache as they complete, so an
+        interrupted batch resumes from where it died.
         """
         mappings = [list(m) for m in mappings]
         if tags is None:
@@ -382,21 +395,15 @@ class SimulationSession:
             telemetry.emit("run.started", run=tag, fingerprint=key)
         with telemetry.span("session.execute", runs=len(work)):
             with telemetry.time("engine.run_seconds"):
-                if self._batch_dispatch_eligible(backend, len(work)):
-                    outcomes = self._dispatch_batched(work, run_fn, flush)
-                else:
-                    outcomes = self.executor.map_guarded(
-                        run_fn,
-                        [
-                            (key, list(mapping), tag)
-                            for key, mapping, tag in work
-                        ],
-                        self.retry,
-                        labels=labels,
-                        fingerprints=keys,
-                        on_result=flush,
-                        telemetry=telemetry,
-                    )
+                outcomes = self.executor.map_guarded(
+                    run_fn,
+                    [(key, list(mapping), tag) for key, mapping, tag in work],
+                    self.retry,
+                    labels=labels,
+                    fingerprints=keys,
+                    on_result=flush,
+                    telemetry=telemetry,
+                )
 
         retries = sum(outcome.attempts - 1 for outcome in outcomes)
         if retries:
@@ -417,102 +424,6 @@ class SimulationSession:
                 )
                 raise error from first.exception
         return [o.value if o.ok else o.failure for o in outcomes]
-
-    def _batch_dispatch_eligible(self, backend: str, n_runs: int) -> bool:
-        """Batched dispatch applies to multi-run miss sets on the
-        batched backend under plain in-process execution.  Wrapped
-        executors (fault injection) and process pools keep the per-run
-        guarded path — pools already amortize kernel build per worker,
-        and fault plans target the executor boundary."""
-        return (
-            backend == "batched"
-            and n_runs > 1
-            and type(self.executor) is SerialExecutor
-        )
-
-    def _dispatch_batched(
-        self,
-        work: list[tuple[str, Mapping, object]],
-        run_fn: "_RunItem",
-        flush,
-    ) -> list[GuardedOutcome]:
-        """Dispatch cache misses as contiguous batches through the
-        chip's compiled kernel — grouped by the chip fingerprint every
-        run of this session shares — instead of run-at-a-time guarded
-        calls.
-
-        Per-run semantics are preserved relative to the guarded path:
-
-        * **cache checkpoints** — each batch flushes every finished run
-          to the cache before the next batch starts (granularity ≤
-          ``_BATCH_RUNS`` runs, incremental within the miss set);
-        * **retry semantics** — a batch that raises degrades to the
-          per-run guarded path (full retry policy, structured
-          failures) for exactly its runs;
-        * **telemetry** — per-run completion events and latency
-          histograms fire as usual, plus one ``session.batch`` event
-          per batch.
-        """
-        kernel = self.chip.compiled_kernel
-        telemetry = self.telemetry
-        outcomes: list[GuardedOutcome | None] = [None] * len(work)
-        n_batches = -(-len(work) // _BATCH_RUNS)
-        for batch in chunked(list(enumerate(work)), n_batches):
-            indices = [index for index, _ in batch]
-            mappings = [list(mapping) for _, (_, mapping, _) in batch]
-            tags = [tag for _, (_, _, tag) in batch]
-            start = time.perf_counter()
-            try:
-                batch_results = self.runner.run_batch(
-                    mappings, self.options, run_tags=tags, kernel=kernel
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as error:
-                telemetry.increment("engine.batch.degraded")
-                telemetry.emit(
-                    "session.batch.degraded",
-                    runs=len(batch),
-                    error=f"{type(error).__name__}: {error}",
-                )
-                guarded = self.executor.map_guarded(
-                    run_fn,
-                    [
-                        (key, list(mapping), tag)
-                        for _, (key, mapping, tag) in batch
-                    ],
-                    self.retry,
-                    labels=tags,
-                    fingerprints=[key for _, (key, _, _) in batch],
-                    on_result=lambda j, outcome: flush(indices[j], outcome),
-                    telemetry=telemetry,
-                )
-                for index, outcome in zip(indices, guarded):
-                    outcomes[index] = outcome
-                continue
-            duration = time.perf_counter() - start
-            per_run = duration / len(batch)
-            telemetry.emit(
-                "session.batch",
-                runs=len(batch),
-                chip=self._chip_fp[:12],
-                dur_s=round(duration, 6),
-                backend="batched",
-            )
-            for index, result in zip(indices, batch_results):
-                # Same per-run solver accounting as the guarded path,
-                # so batched and per-run dispatch report identical
-                # counters (worker-telemetry parity).
-                telemetry.increment("engine.solver.invocations")
-                telemetry.observe("engine.solver.seconds", per_run)
-                outcome = GuardedOutcome(
-                    value=result,
-                    duration_s=per_run,
-                    worker=os.getpid(),
-                )
-                outcomes[index] = outcome
-                flush(index, outcome)
-        return outcomes  # type: ignore[return-value]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

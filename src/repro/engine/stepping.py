@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, ControlError, ExecutionError, SolverError
+from ..errors import ConfigError, ControlError, ExecutionError
 from ..machine.chip import Chip
 from ..machine.runner import (
     ChipRunner,
@@ -60,7 +60,7 @@ from ..obs import Telemetry, get_telemetry
 from ..pdn.kernels import SteppingSolver
 from ..pdn.superposition import EdgeTrain, assemble_voltage
 from .resilience import RetryPolicy, guarded_call
-from .session import resolve_backend_name
+from .session import resolve_backend_name, resolve_kernel
 
 __all__ = ["Actuation", "WindowObservation", "SteppingSession"]
 
@@ -232,20 +232,7 @@ class SteppingSession:
         self.batch = self.runner.build_stimulus(mapping, self.options, run_tag)
         self._core_nodes = chip.core_nodes
         self._service = ServiceElement(chip)
-        self._kernel = None
-        if self.backend != "reference":
-            try:
-                with self.telemetry.time("engine.kernel.compile_seconds"):
-                    self._kernel = chip.compiled_kernel
-            except SolverError as error:
-                if self.backend == "batched":
-                    raise
-                self.telemetry.increment("engine.kernel.fallbacks")
-                self.telemetry.emit(
-                    "kernel.fallback",
-                    chip=chip.chip_id,
-                    error=f"{type(error).__name__}: {error}",
-                )
+        self._kernel = resolve_kernel(chip, self.backend, self.telemetry)
         self.resolved_backend = (
             "batched" if self._kernel is not None else "reference"
         )

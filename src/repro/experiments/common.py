@@ -85,8 +85,8 @@ class ExperimentContext:
 
     @property
     def runner(self) -> ChipRunner:
-        """The raw (uncached) runner underneath the session."""
-        return self.session.runner
+        """A raw (uncached) runner over the context's chip."""
+        return ChipRunner(self.chip)
 
     def delta_i_points(self) -> list[DeltaIMappingPoint]:
         """The ΔI workload-mapping dataset (Figures 11 and 13a); its

@@ -233,25 +233,6 @@ class ChipRunner:
         batch = self.build_stimulus(mapping, options, run_tag)
         return self.execute(batch, kernel=kernel)
 
-    def run_batch(
-        self,
-        mappings: Sequence[Sequence[CurrentProgram | None]],
-        options: RunOptions | None = None,
-        run_tags: Sequence[object] | None = None,
-        *,
-        kernel: CompiledChipKernel | None = None,
-    ) -> list[RunResult]:
-        """Execute several mappings back to back (shared options, one
-        stimulus-build + solve + measure cycle per mapping)."""
-        if run_tags is None:
-            run_tags = [f"run{i}" for i in range(len(mappings))]
-        if len(run_tags) != len(mappings):
-            raise ConfigError("run_tags and mappings must have equal length")
-        return [
-            self.run(mapping, options, tag, kernel=kernel)
-            for mapping, tag in zip(mappings, run_tags)
-        ]
-
     # -- phase 1: stimulus construction --------------------------------
     def build_stimulus(
         self,

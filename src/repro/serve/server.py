@@ -55,9 +55,13 @@ from ..engine.cache import ResultCache, global_cache
 from ..engine.executor import Executor, make_executor
 from ..engine.fingerprint import canonical, content_key
 from ..engine.resilience import RetryPolicy, RunFailure
-from ..engine.session import SimulationSession, resolve_backend_name
+from ..engine.session import (
+    SimulationSession,
+    resolve_backend_name,
+    resolve_kernel,
+)
 from ..engine.stepping import SteppingSession
-from ..errors import ConfigError, ControlError, ProtocolError, SolverError
+from ..errors import ConfigError, ControlError, ProtocolError
 from ..machine.chip import Chip
 from ..machine.runner import RunOptions
 from ..measure.runit import RUnit, RUnitConfig
@@ -278,8 +282,10 @@ class SimulationService:
     def start(self) -> "SimulationService":
         """Start the executor thread (idempotent), pre-warming the
         chip's compiled kernel on any non-reference backend so the
-        first cold request pays a solve, not a kernel build."""
-        self._warm_kernel()
+        first cold request pays a solve, not a kernel build.  An
+        explicit ``batched`` service whose kernel fails to compile
+        refuses to start rather than silently degrade."""
+        resolve_kernel(self.chip, self.backend, self.telemetry)
         if self._thread is None or not self._thread.is_alive():
             self._closing = False
             self._thread = threading.Thread(
@@ -295,24 +301,6 @@ class SimulationService:
             )
             self._ticker.start()
         return self
-
-    def _warm_kernel(self) -> None:
-        if self.backend == "reference":
-            return
-        try:
-            with self.telemetry.time("engine.kernel.compile_seconds"):
-                self.chip.compiled_kernel
-        except SolverError as error:
-            # 'auto' sessions fall back to the reference path on their
-            # own (and account for it); an explicit 'batched' service
-            # must refuse to start rather than silently degrade.
-            if self.backend == "batched":
-                raise
-            self.telemetry.emit(
-                "kernel.fallback",
-                chip=self.chip_fp,
-                error=f"{type(error).__name__}: {error}",
-            )
 
     def stop(self, timeout: float = 30.0) -> None:
         """Stop accepting work, drain the queue, join the executor."""

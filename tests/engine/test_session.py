@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import ResultCache, SimulationSession
-from repro.machine.runner import RunOptions
+from repro.machine.runner import ChipRunner, RunOptions
 from repro.machine.workload import idle_program
 from repro.obs import Telemetry, set_telemetry
 
@@ -44,7 +44,9 @@ class TestSingleRuns:
     def test_results_match_the_raw_runner(self, session):
         mapping = [didt()] * 3 + [idle_program(13.5)] * 3
         via_session = session.run(mapping)
-        direct = session.runner.run(mapping, session.options, "whatever")
+        direct = ChipRunner(session.chip).run(
+            mapping, session.options, "whatever"
+        )
         assert via_session.p2p_by_core == direct.p2p_by_core
 
 

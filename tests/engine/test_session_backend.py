@@ -1,9 +1,13 @@
-"""The session backend layer: selection, fallback, batched dispatch,
-and — above all — cache-key neutrality (the backend must never change a
-run's fingerprint, so either path reads and writes the same entries).
+"""The session backend layer: selection, the compile-or-fallback
+policy, the one guarded dispatch path every backend runs through (true
+per-run latency, a schema-valid event log), and — above all — cache-key
+neutrality (the backend must never change a run's fingerprint, so
+either path reads and writes the same entries).
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -13,18 +17,26 @@ from repro.engine import (
     SimulationSession,
     resolve_backend_name,
 )
+from repro.engine.stepping import SteppingSession
 from repro.errors import ConfigError, SolverError
 from repro.machine.chip import Chip
-from repro.machine.runner import RunOptions
+from repro.machine.runner import ChipRunner, RunOptions
+from repro.obs import EventLog, validate_event_log
 from repro.pdn.kernels import KERNEL_TOLERANCE_V
 
 from .conftest import didt
 
 
+OPTIONS = RunOptions(segments=2, base_samples=1024)
+
+#: Injected latency of the one slow run in the per-run latency test.
+SLOW_RUN_S = 0.2
+
+
 def make_session(chip, telemetry, cache=None, **kwargs):
     return SimulationSession(
         chip,
-        RunOptions(segments=2, base_samples=1024),
+        OPTIONS,
         cache=cache if cache is not None else ResultCache(telemetry=telemetry),
         executor="serial",
         telemetry=telemetry,
@@ -104,22 +116,40 @@ class TestCacheNeutrality:
 
 
 class TestFallback:
+    """The compile-or-fallback policy through :class:`SimulationSession`;
+    :class:`TestSteppingFallback` reruns every case through
+    :class:`SteppingSession` by overriding :meth:`solve`."""
+
+    @staticmethod
+    def solve(chip, telemetry, backend):
+        """Solve one mapping; returns ``(result, resolved backend)``."""
+        session = make_session(chip, telemetry, backend=backend)
+        result = session.run([didt()] * 6)
+        return result, session._resolve_backend()
+
     def test_auto_falls_back_to_reference(self, chip, telemetry, monkeypatch):
         break_kernel_compile(monkeypatch, chip)
-        session = make_session(chip, telemetry, backend="auto")
-        result = session.run([didt()] * 6)
+        result, resolved = self.solve(chip, telemetry, "auto")
         assert result.max_p2p > 0
-        assert session._resolve_backend() == "reference"
+        assert resolved == "reference"
         assert telemetry.counter("engine.kernel.fallbacks") == 1
 
     def test_explicit_batched_propagates_error(
         self, chip, telemetry, monkeypatch
     ):
         break_kernel_compile(monkeypatch, chip)
-        session = make_session(chip, telemetry, backend="batched")
         with pytest.raises(SolverError, match="injected"):
-            session.run([didt()] * 6)
+            self.solve(chip, telemetry, "batched")
         assert telemetry.counter("engine.kernel.fallbacks") == 0
+
+
+class TestSteppingFallback(TestFallback):
+    @staticmethod
+    def solve(chip, telemetry, backend):
+        stepping = SteppingSession(
+            chip, [didt()] * 6, OPTIONS, backend=backend, telemetry=telemetry
+        )
+        return stepping.result(), stepping.resolved_backend
 
 
 class TestBatchedDispatch:
@@ -154,30 +184,35 @@ class TestBatchedDispatch:
         )
         assert telemetry.counter("engine.runs_executed") == len(self.MAPPINGS)
 
-    def test_batch_failure_degrades_to_guarded(
+    def test_per_run_latency_is_not_averaged(
         self, chip, telemetry, monkeypatch
     ):
-        session = make_session(chip, telemetry, backend="batched")
-        monkeypatch.setattr(
-            session.runner,
-            "run_batch",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("batch boom")),
-        )
-        results = session.run_many(self.MAPPINGS)
-        assert len(results) == len(self.MAPPINGS)
-        assert all(r.max_p2p > 0 for r in results)
-        assert telemetry.counter("engine.batch.degraded") == 1
-        assert telemetry.counter("engine.runs_executed") == len(self.MAPPINGS)
+        """Each run's own duration reaches the latency histograms: one
+        slow run stands out instead of being spread over its batch."""
+        run = ChipRunner.run
 
-    def test_single_run_skips_batching(self, chip, telemetry, monkeypatch):
-        """One miss never pays batch-dispatch overhead: run_batch is
-        not consulted."""
-        session = make_session(chip, telemetry, backend="batched")
-        monkeypatch.setattr(
-            session.runner,
-            "run_batch",
-            lambda *a, **k: (_ for _ in ()).throw(AssertionError("unused")),
+        def slow_first(self, mapping, options=None, run_tag="run", **kw):
+            if run_tag == 0:
+                time.sleep(SLOW_RUN_S)
+            return run(self, mapping, options, run_tag, **kw)
+
+        monkeypatch.setattr(ChipRunner, "run", slow_first)
+        make_session(chip, telemetry, backend="batched").run_many(
+            self.MAPPINGS
         )
-        result = session.run([didt()] * 6)
-        assert result.max_p2p > 0
-        assert telemetry.counter("engine.batch.degraded") == 0
+        for name in ("engine.run.seconds", "engine.solver.seconds"):
+            histogram = telemetry.histogram(name)
+            assert histogram.count == len(self.MAPPINGS)
+            assert histogram.max >= SLOW_RUN_S
+            assert histogram.min < SLOW_RUN_S
+
+    def test_event_log_is_schema_valid(self, chip, telemetry, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as events:
+            telemetry.enable_tracing(events=events)
+            make_session(chip, telemetry, backend="batched").run_many(
+                self.MAPPINGS
+            )
+        n_valid, errors = validate_event_log(path)
+        assert errors == []
+        assert n_valid > len(self.MAPPINGS)

@@ -38,7 +38,7 @@ WORKER_COUNTERS = (
 )
 
 
-def run_batch(chip, executor, faults=None, n=5):
+def run_sweep(chip, executor, faults=None, n=5):
     """One isolated batch of *n* distinct runs; returns its telemetry."""
     # Forked pool workers inherit the parent's transient-fault memo, so
     # clear it per batch: both backends must see the same fresh plan.
@@ -61,8 +61,8 @@ def run_batch(chip, executor, faults=None, n=5):
 
 class TestWorkerTelemetryMerge:
     def test_pool_counters_match_serial(self, chip):
-        serial = run_batch(chip, SerialExecutor())
-        pooled = run_batch(chip, ProcessExecutor(jobs=2))
+        serial = run_sweep(chip, SerialExecutor())
+        pooled = run_sweep(chip, ProcessExecutor(jobs=2))
         for name in WORKER_COUNTERS:
             assert pooled.counter(name) == serial.counter(name), name
         # The worker-side solver counter actually counted the runs.
@@ -73,14 +73,14 @@ class TestWorkerTelemetryMerge:
         # same runs fail/retry under both backends and the merged
         # counters must agree exactly — the acceptance criterion.
         plan = FaultPlan(seed=3, exception_rate=0.5)
-        serial = run_batch(chip, SerialExecutor(), faults=plan)
-        pooled = run_batch(chip, ProcessExecutor(jobs=2), faults=plan)
+        serial = run_sweep(chip, SerialExecutor(), faults=plan)
+        pooled = run_sweep(chip, ProcessExecutor(jobs=2), faults=plan)
         assert serial.counter("engine.retries") > 0  # faults actually fired
         for name in WORKER_COUNTERS:
             assert pooled.counter(name) == serial.counter(name), name
 
     def test_pool_histograms_and_timers_merge(self, chip):
-        pooled = run_batch(chip, ProcessExecutor(jobs=2))
+        pooled = run_sweep(chip, ProcessExecutor(jobs=2))
         # Worker-side solver wall clock crossed the boundary...
         solver = pooled.histogram("engine.solver.seconds")
         assert solver is not None and solver.count == 5
@@ -94,7 +94,7 @@ class TestWorkerTelemetryMerge:
     def test_serial_executor_still_records_in_caller_scope(self, chip):
         # The capture/merge dance in the serial path must be invisible:
         # metrics land in the session sink exactly as before.
-        telemetry = run_batch(chip, SerialExecutor(), n=2)
+        telemetry = run_sweep(chip, SerialExecutor(), n=2)
         assert telemetry.counter("engine.runs_executed") == 2
         assert telemetry.counter("engine.solver.invocations") == 2
         solver = telemetry.histogram("engine.solver.seconds")

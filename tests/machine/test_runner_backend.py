@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
 from repro.machine.runner import ChipRunner, RunOptions
 from repro.machine.workload import CurrentProgram, SyncSpec, idle_program
 from repro.pdn.kernels import KERNEL_TOLERANCE_V
@@ -76,32 +75,3 @@ class TestRunEquivalence:
         whole = runner.run(mapping, options, "split")
         assert via_reference.p2p_by_core == whole.p2p_by_core
         assert_equivalent(via_reference, via_kernel)
-
-
-class TestRunBatch:
-    def test_matches_sequential_runs(self, runner, kernel):
-        options = RunOptions(segments=2, base_samples=1024)
-        mappings = [[didt(sync=True, freq=f)] * 6 for f in (1.3e6, 2.6e6)]
-        tags = ["batch0", "batch1"]
-        batched = runner.run_batch(
-            mappings, options, run_tags=tags, kernel=kernel
-        )
-        for mapping, tag, result in zip(mappings, tags, batched):
-            single = runner.run(mapping, options, tag, kernel=kernel)
-            assert result.p2p_by_core == single.p2p_by_core
-
-    def test_default_tags(self, runner):
-        options = RunOptions(segments=1, base_samples=512)
-        mappings = [[didt()] * 6, [didt()] * 6]
-        batched = runner.run_batch(mappings, options)
-        tagged = [
-            runner.run(mapping, options, f"run{i}")
-            for i, mapping in enumerate(mappings)
-        ]
-        assert [r.p2p_by_core for r in batched] == [
-            r.p2p_by_core for r in tagged
-        ]
-
-    def test_tag_length_mismatch(self, runner):
-        with pytest.raises(ConfigError):
-            runner.run_batch([[didt()] * 6], run_tags=["a", "b"])

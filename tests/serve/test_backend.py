@@ -7,11 +7,12 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.cache import ResultCache
-from repro.errors import ConfigError
-from repro.obs import Telemetry
+from repro.errors import ConfigError, SolverError
+from repro.obs import EventLog, Telemetry, read_events
 from repro.pdn.kernels import KERNEL_TOLERANCE_V
 from repro.serve import SimulationService
 
+from ..engine.test_session_backend import break_kernel_compile
 from .conftest import simulate_payload
 
 
@@ -44,6 +45,29 @@ class TestWarmKernel:
             assert "engine.kernel.compile_seconds" not in telemetry.timers
         finally:
             svc.stop()
+
+    def test_start_falls_back_like_a_session(
+        self, chip, cheap_options, monkeypatch, tmp_path
+    ):
+        """A kernel that fails to compile degrades an ``auto`` service
+        to the reference path — counted, with one ``kernel.fallback``
+        event naming the chip as the sessions do — and keeps an
+        explicit ``batched`` service from starting."""
+        break_kernel_compile(monkeypatch, chip)
+        telemetry = Telemetry()
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as events:
+            telemetry.enable_tracing(events=events)
+            make_service(chip, cheap_options, telemetry).start().stop()
+        assert telemetry.counter("engine.kernel.fallbacks") == 1
+        [fallback] = [
+            e for e in read_events(path) if e["event"] == "kernel.fallback"
+        ]
+        assert fallback["chip"] == chip.chip_id
+        with pytest.raises(SolverError, match="injected"):
+            make_service(
+                chip, cheap_options, Telemetry(), backend="batched"
+            ).start()
 
     def test_invalid_backend_refused(self, chip, cheap_options):
         with pytest.raises(ConfigError):
