@@ -575,19 +575,19 @@ class ChipRunner:
         t, c, a = t[order], np.concatenate(c_parts)[order], np.concatenate(a_parts)[order]
 
         # One window per event (ending at it): membership is "no newer
-        # than the window end, no older than the coherence span".
+        # than the window end, no older than the coherence span".  The
+        # columns are laid out grouped by source core.
+        by_core = np.argsort(c, kind="stable")
         idx = np.arange(t.size)
-        in_win = (idx[None, :] <= idx[:, None]) & (
-            t[None, :] >= (t[:, None] - window)
+        in_win = (idx[by_core][None, :] <= idx[:, None]) & (
+            t[by_core][None, :] >= (t[:, None] - window)
         )
-        amps = np.where(in_win, a[None, :], 0.0)
+        amps = np.where(in_win, a[by_core][None, :], 0.0)
         # At most one edge per source core counts within a window: the
         # delay line integrates a single traversal, it does not
         # accumulate a core's repeated events.
+        cores, first = np.unique(c[by_core], return_index=True)
         per_core = np.zeros((t.size, n_cores))
-        for core in range(n_cores):
-            cols = amps[:, c == core]
-            if cols.size:
-                per_core[:, core] = cols.max(axis=1)
+        per_core[:, cores] = np.maximum.reduceat(amps, first, axis=1)
         totals = per_core @ chip.coupling_matrix.T   # (windows, observers)
         return [float(v) for v in totals.max(axis=0)]

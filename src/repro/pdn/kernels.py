@@ -5,30 +5,37 @@ interpolates one ramp-response table per *edge* — ``O(edges × samples)``
 table lookups per node.  Because the PDN is LTI and its spectrum has a
 clean gap between a handful of slow board/package modes and the fast
 on-chip modes, the same superposition can be factored once per chip into
-a :class:`CompiledChipKernel` and then evaluated for any number of edge
-trains at ``O(modes × (samples + edges))`` cost per port.
+a :class:`CompiledChipKernel`.
 
-The kernel splits every (sample, edge) pair by elapsed time
-``x = t − t_edge`` into three tiers:
+Over a port's time-sorted edge train, each sample ``t`` reads three
+contiguous edge-index ranges, cut by the float predicates ``t_e < t − H``
+(``ks_h``), ``t_e < t − W`` (``ks_w``) and ``t_e < t`` (``ks_0``), so
+every (sample, edge) pair lands in exactly one tier (``x = t − t_e``):
 
-* **window** (``0 < x ≤ W``): the fast modes are still alive, so the
-  kernel linearly interpolates the *original* ramp table on its uniform
-  fine prefix — arithmetically the same interpolation the reference
-  performs, so this tier matches it to rounding.  ``W`` is chosen so the
-  fastest retained-analytically mode has decayed by ``e^-16`` at the
-  window edge.
-* **slow** (``W < x ≤ horizon``): only the slow modes remain; their
-  contribution is the closed-form ramp response
-  ``y_ss + Re Σ_i m_i g_i e^{λ_i x}``, evaluated for *all* edges of a
-  port at once through complex prefix sums over the edge train
-  (``e^{λ(t − t_e)} = e^{λ(t − a)} · e^{−λ(t_e − a)}`` for an anchor
-  ``a``, see below), one small GEMM against the per-port modal
-  coefficient matrix.  Conjugate eigenvalue pairs are folded into
-  half-spectrum lanes (weight 2) so only ``imag(λ) ≥ 0`` modes are
-  carried.
-* **dc** (``x > horizon``): the reference clamps to the table's DC
-  gain; the kernel applies exactly ``dc · Σ deltas`` via a real prefix
-  sum — bit-identical to the reference tier.
+* **window** ``[ks_w, ks_0)`` (``0 < x ≤ W``): the fast modes are still
+  alive, so the kernel linearly interpolates the *original* ramp table
+  on its uniform fine prefix — the reference's own interpolation, so it
+  matches to rounding.  The pairs form a CSR matrix (samples × value |
+  slope knots) whose structure depends only on the grid and the edge
+  instants; a port's deltas fill its data and one sparse product against
+  the port's knot tables evaluates the tier.  ``W`` is chosen so the
+  fastest analytically-carried mode has decayed by ``e^-16`` at ``W``.
+* **slow** ``[ks_h, ks_w)`` (``W < x ≤ H``): only the slow modes remain;
+  the closed-form ramp response ``y_ss + Re Σ_s m_s g_s e^{λ_s x}`` sums
+  over all these edges at once through complex prefix sums of
+  ``δ_e e^{−λ(t_e − a)}`` (``Δprefix``), times the phase ``e^{λ(t − a)}``
+  for an anchor ``a`` (below).  Conjugate eigenvalue pairs are folded
+  into half-spectrum lanes (weight 2), so only ``imag(λ) ≥ 0`` is carried.
+* **dc** ``[0, ks_h)`` (``x > H``): the reference clamps to the table's
+  DC gain; the kernel applies ``dc · Σ δ``.
+
+``ks_h`` and ``ks_w`` are monotone in ``t``, so runs of samples sharing
+them form *groups* (at most about edges + chunks).  Each group's features
+— ``Σ δ`` over its slow and dc ranges and ``Δprefix`` per lane — are
+gathered once, multiplied per sample by the phase row, and the dc,
+steady-state and slow tiers become one real GEMM against per-port
+coefficients fixed at compile time.  A port block thus costs one
+``O(samples × lanes)`` GEMM plus one sparse product over the window pairs.
 
 Compilation validates its own equivalence: the analytic slow tier is
 checked against the ramp table on a log grid spanning ``(W, horizon]``
@@ -37,24 +44,20 @@ deviation exceeds the pinned budget — which is what lets the engine's
 ``auto`` backend fall back to the reference solver for a chip whose
 spectrum does not factor cleanly.
 
-The prefix-sum factorization bounds its exponents by
-``max|Re λ_slow| · span``, so the slow tier splits the sample grid into
-*anchored chunks* whose span stays inside that budget: within a chunk
-anchored at ``a`` it factors ``e^{λ(t − t_e)} = e^{λ(t − a)} ·
-e^{−λ(t_e − a)}``, with the decay factors computed only over the edges
-the chunk reads.  Chunk 0 is anchored at ``t = 0``, so a segment short
-enough to fit one chunk — every segment of a fast sweep — evaluates
-exactly the global factorization; long low-frequency segments simply
-carry more chunks, and no exponent ever leaves the budget.
+The prefix factorization bounds its exponents by ``max|Re λ_slow| ·
+span``, so the slow tier splits the sample grid into *anchored chunks*
+whose span stays inside that budget, with decay factors computed only
+over the edges a chunk reads.  Chunk 0 is anchored at ``t = 0``, so a
+segment that fits one chunk — every segment of a fast sweep — evaluates
+the global factorization; long low-frequency segments carry more chunks.
 
 Kernels are memoized per chip fingerprint (a content digest of the
 response library they compile) via :func:`compile_kernel`, so a warm
 process — the serve tier, a pool worker — builds each chip's kernel
-once.  Within a kernel, evaluation results are memoized too: one
-port's contribution to the observed nodes is a pure function of
-(sample grid, merged edge train, port), so those blocks are cached by
-content digest and a synchronized sweep — many runs sharing grids and
-edge instants — pays the tiered evaluation once per distinct block.
+once.  Within a kernel, one port's contribution to the observed nodes
+is a pure function of (sample grid, merged edge train, port), so those
+blocks are cached by content digest and a synchronized sweep pays the
+tiered evaluation once per distinct block.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from ..errors import SolverError
 from .response import ResponseLibrary
@@ -123,8 +127,10 @@ _CONTRIB_CACHE_ENTRIES = 128
 def _digest(array: np.ndarray) -> bytes:
     """Content digest for result-cache keys.  The builtin ``hash`` is
     process-seeded and only 64 bits; since these keys gate *numerical
-    results*, use a real digest so collisions are out of the picture."""
-    return hashlib.blake2b(array.tobytes(), digest_size=16).digest()
+    results*, use a real digest so collisions are out of the picture.
+    SHA-256 (truncated to 128 bits) hashes the array buffer in place and
+    runs about twice as fast as BLAKE2b on CPUs with SHA extensions."""
+    return hashlib.sha256(np.ascontiguousarray(array)).digest()[:16]
 
 
 @dataclass
@@ -201,12 +207,11 @@ def clear_kernel_cache() -> None:
 
 
 class _SlowChunk(NamedTuple):
-    """One anchored chunk of the slow tier: sample rows ``[lo, hi)``
-    read the edges ``[e_lo, e_lo + len(decay))``, i.e.
-    ``[ks_h[lo], ks_w[hi − 1])``."""
+    """One anchored chunk of the slow tier: the sample groups
+    ``[g_lo, g_hi)`` read the edges ``[e_lo, e_lo + len(decay))``."""
 
-    lo: int
-    hi: int
+    g_lo: int
+    g_hi: int
     e_lo: int
     decay: np.ndarray                # e^{−λ(t_e − anchor)} (E_c, S)
 
@@ -214,39 +219,19 @@ class _SlowChunk(NamedTuple):
 @dataclass
 class _TierIndex:
     """Port-independent bookkeeping of one (sample grid, edge instants)
-    pair: which (sample, edge) pairs land in which tier, the slow
-    tier's anchored chunks, and the window tier's ragged ranges
-    pre-expanded into flat knot/fraction arrays.  Every quantity here
-    depends only on *times* — the edge deltas join at evaluation time —
-    which is what makes it reusable across ports, segments and runs of
-    a synchronized sweep."""
+    pair (see the module docstring): the sample groups, the slow tier's
+    anchored chunks and the window tier's CSR structure.  The deltas join
+    at evaluation time, so one index serves every port, segment and run
+    of a synchronized sweep that shares those instants."""
 
-    ks_w: np.ndarray                 # per sample: first edge in (t−W, ·]
-    ks_h: np.ndarray                 # per sample: first edge in (t−H, ·]
+    group_kw: np.ndarray             # per group: ks_w
+    group_kh: np.ndarray             # per group: ks_h
+    group_len: np.ndarray            # per group: sample count
     chunks: list[_SlowChunk]         # slow tier, one per anchored chunk
-    win_sample: np.ndarray | None    # window pairs: local sample row
-    win_idx: np.ndarray | None       # window pairs: table knot index
-    win_frac: np.ndarray | None      # window pairs: x − knot·step
-    win_active: np.ndarray | None    # edges with a non-empty range
-    win_lengths: np.ndarray | None   # range length of each active edge
-
-
-def _expand_ranges(
-    lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Flatten per-edge contiguous sample ranges ``[lo, hi)`` into a
-    (sample index, active-edge mask, range length) triple — ragged
-    ranges via repeat/arange, no Python loop over edges."""
-    lengths = np.maximum(hi - lo, 0)
-    total = int(lengths.sum())
-    if total == 0:
-        return None
-    active = lengths > 0
-    lengths = lengths[active]
-    inner = np.arange(total) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
-    return np.repeat(lo[active], lengths) + inner, active, lengths
+    win_edge: np.ndarray             # per window pair: edge index
+    win_frac: np.ndarray             # per window pair: x − knot·step
+    win_indices: np.ndarray          # CSR column of each value|slope entry
+    win_indptr: np.ndarray           # CSR row pointers (2 entries a pair)
 
 
 def _geometric_powers(ratio: np.ndarray, count: int) -> np.ndarray:
@@ -370,18 +355,14 @@ class CompiledChipKernel:
             )
         self._window_step = step
         self._n_knots = n_knots
-        # (ports, knots, nodes) value and slope tables.
-        library = self.library
+        # Window-tier coefficients (ports, value|slope knots, nodes): the
+        # CSR row of sample m holds δ_e at knot k and δ_e·frac at K + k.
         wtab = np.empty((len(self.ports), n_knots, len(self.nodes)))
         for p, port in enumerate(self.ports):
             for n, node in enumerate(self.nodes):
-                wtab[p, :, n] = library._ramp[(port, node)][:n_knots]
-        self._wtab = wtab
-        self._wslope = np.diff(wtab, axis=1) / step
-        # Value and slope tables packed side by side, so the window
-        # tier's per-pair interpolation costs one fancy-index gather.
-        self._wpack = np.concatenate(
-            [wtab[:, :-1, :], self._wslope], axis=2
+                wtab[p, :, n] = self.library._ramp[(port, node)][:n_knots]
+        self._wcoef = np.concatenate(
+            [wtab[:, :-1, :], np.diff(wtab, axis=1) / step], axis=1
         )
 
     def _build_modal_coefficients(self, library: ResponseLibrary) -> None:
@@ -412,9 +393,14 @@ class CompiledChipKernel:
             for n, node in enumerate(self.nodes):
                 dc[p, n] = library.dc(port, node)
         self._mgw = mgw
-        self._mgw_flat = mgw.reshape(n_ports * n_lanes, n_nodes)
         self._yss = yss
-        self._dc = dc
+        # Real GEMM coefficients (ports, 2 + 2S, nodes) against a group
+        # feature row viewed as floats: [Σδ slow, Σδ dc, Re z_s, Im z_s]
+        # with Re(z m) = Re z Re m − Im z Im m.
+        coef = np.empty((n_ports, 2 * n_lanes + 2, n_nodes))
+        coef[:, 0], coef[:, 1] = yss, dc
+        coef[:, 2::2], coef[:, 3::2] = mgw.real, -mgw.imag
+        self._coef = coef
 
     def _self_check(self) -> None:
         """Compile-time equivalence proof: the analytic slow tier must
@@ -500,14 +486,17 @@ class CompiledChipKernel:
         return np.concatenate(blocks)[grid.first_index]
 
     def _phases_for(self, grid: SampleGrid, key: bytes) -> np.ndarray:
-        """Content-memoized phase matrix: synchronized sweeps reuse a
-        handful of distinct sample grids across thousands of (run,
-        segment) pairs, so the build cost amortizes to nothing."""
+        """Content-memoized phase matrix behind a column of ones, so one
+        contiguous multiply also carries a group's two real Σδ features
+        (multiplying the strided lane columns alone is ~2.7× slower).
+        Synchronized sweeps reuse a handful of sample grids across
+        thousands of (run, segment) pairs: the build cost amortizes."""
         phases = self._phase_cache.get(key)
         if phases is None:
             if len(self._phase_cache) >= _SEGMENT_CACHE_ENTRIES:
                 self._phase_cache.clear()
-            phases = self._phase_matrix(grid)
+            phases = np.ones((grid.times.size, self._lanes.size + 1), complex)
+            phases[:, 1:] = self._phase_matrix(grid)
             self._phase_cache[key] = phases
         return phases
 
@@ -515,11 +504,9 @@ class CompiledChipKernel:
         self, times: np.ndarray, times_key: bytes, et: np.ndarray,
         et_key: bytes,
     ) -> "_TierIndex":
-        """Content-memoized tier bookkeeping for one (sample grid, edge
-        train) pair: boundary indices, the slow tier's anchored chunks
-        and the expanded window-tier (sample, elapsed-time) pairs.
-        Port-independent — every port whose train shares the same edge
-        instants reuses it."""
+        """Content-memoized :class:`_TierIndex` of one (sample grid,
+        edge train) pair.  Port-independent — every port whose train
+        shares the same edge instants reuses it."""
         key = (times_key, et_key)
         tiers = self._tier_cache.get(key)
         if tiers is None:
@@ -530,42 +517,64 @@ class CompiledChipKernel:
         return tiers
 
     def _build_tiers(self, times: np.ndarray, et: np.ndarray) -> _TierIndex:
-        """Compute one :class:`_TierIndex` (see its docstring).  All
-        three tiers share the *same* float predicates (edge < t−W marks
-        slow-or-older, edge < t−H marks dc) so every (sample, edge)
-        pair lands in exactly one tier even at the seams."""
-        t_w = times - self.window
-        t_h = times - self.horizon
-        ks_w = np.searchsorted(et, t_w, side="left")
-        ks_h = np.searchsorted(et, t_h, side="left")
+        """Compute one :class:`_TierIndex` (see its docstring).  The
+        ranges come from the float predicates ``t_e < t − H`` (dc),
+        ``t_e < t − W`` (dc or slow) and ``t_e < t`` (any), so every
+        (sample, edge) pair lands in exactly one tier even at the
+        seams, and an edge at or after a sample is never read."""
+        # Edge e is counted in ks_h / ks_w / ks_0 from the first sample
+        # with t_e < t − lag on: ``searchsorted(t − lag, t_e, "right")``.
+        n = times.size
+        enter_h, enter_w, enter_0 = (
+            np.searchsorted(times - lag, et, side="right")
+            for lag in (self.horizon, self.window, 0.0)
+        )
+
+        # Groups: a new group starts only where an edge enters the slow
+        # or dc range, or where an anchored chunk begins.
+        bounds, anchors = self._chunks(times)
+        starts = np.union1d(np.concatenate([enter_h, enter_w]), bounds[:-1])
+        starts = starts[:np.searchsorted(starts, n)]
+        group_bounds = np.searchsorted(starts, bounds)
+        e_lo = np.searchsorted(enter_h, bounds[:-1], side="right")
+        e_hi = np.searchsorted(
+            enter_w, np.subtract(bounds[1:], 1), side="right"
+        )
 
         # Slow tier: per anchored chunk, the decay factors of exactly
         # the edges its samples read — edges past the grid or long
         # expired never enter an exponential.
-        chunks = []
-        bounds, anchors = self._chunks(times)
-        for lo, hi, anchor in zip(bounds[:-1], bounds[1:], anchors):
-            e_lo, e_hi = int(ks_h[lo]), int(ks_w[hi - 1])
-            decay = np.exp(np.outer(et[e_lo:e_hi] - anchor, -self._lanes))
-            chunks.append(_SlowChunk(lo, hi, e_lo, decay))
-
-        win_sample = win_idx = win_frac = win_active = win_lengths = None
-        expanded = _expand_ranges(
-            np.searchsorted(times, et, side="right"),
-            np.searchsorted(t_w, et, side="right"),
-        )
-        if expanded is not None:
-            win_sample, win_active, win_lengths = expanded
-            x = times[win_sample] - np.repeat(et[win_active], win_lengths)
-            step = self._window_step
-            win_idx = np.clip(
-                (x / step).astype(np.intp), 0, self._n_knots - 2
+        chunks = [
+            _SlowChunk(
+                int(group_bounds[c]), int(group_bounds[c + 1]), int(e_lo[c]),
+                np.exp(np.outer(et[e_lo[c]:e_hi[c]] - anchor, -self._lanes)),
             )
-            win_frac = x - win_idx * step
+            for c, anchor in enumerate(anchors)
+        ]
+
+        # Window tier: pairs in sample-major order, one CSR row each,
+        # holding a value entry at its knot and a slope entry at K + knot.
+        ks_w, ks_0 = (
+            np.repeat(np.arange(et.size + 1), np.diff(e, prepend=0, append=n))
+            for e in (enter_w, enter_0)
+        )
+        indptr = np.concatenate([[0], np.cumsum(ks_0 - ks_w)])
+        pair_row = np.repeat(np.arange(n), ks_0 - ks_w)
+        win_edge = np.arange(indptr[-1]) + (ks_w - indptr[:-1])[pair_row]
+        x = times[pair_row] - et[win_edge]
+        step = self._window_step
+        knot = np.clip((x / step).astype(np.intp), 0, self._n_knots - 2)
+        win_indices = np.empty((knot.size, 2), dtype=np.int32)
+        win_indices[:, 0] = knot
+        win_indices[:, 1] = knot + (self._n_knots - 1)
         return _TierIndex(
-            ks_w=ks_w, ks_h=ks_h, chunks=chunks,
-            win_sample=win_sample, win_idx=win_idx, win_frac=win_frac,
-            win_active=win_active, win_lengths=win_lengths,
+            group_kw=np.searchsorted(enter_w, starts, side="right"),
+            group_kh=np.searchsorted(enter_h, starts, side="right"),
+            group_len=np.diff(np.append(starts, n)),
+            chunks=chunks,
+            win_edge=win_edge, win_frac=x - knot * step,
+            win_indices=win_indices.ravel(),
+            win_indptr=(2 * indptr).astype(np.int32),
         )
 
     def solve_batch(
@@ -669,51 +678,41 @@ class CompiledChipKernel:
         """One port's deviation block ``(samples × rows)`` for one
         merged edge train — the cacheable unit of the solve."""
         tiers = self._tiers_for(times, times_key, et, et_key)
-        n_lanes = self._lanes.size
 
-        # DC and steady-state tiers: rank-one products of the Σδ
-        # prefix differences against the per-port gain rows.
+        # Group features as complex columns: (Σδ slow + i Σδ dc, then
+        # the slow lanes' prefix differences Δprefix, one per lane).
         d_prefix = np.concatenate([[0.0], np.cumsum(deltas)])
-        d_at_h = d_prefix[tiers.ks_h]
-        contrib = np.outer(
-            d_prefix[tiers.ks_w] - d_at_h, self._yss[p, rows]
+        feats = np.empty((tiers.group_len.size, self._lanes.size + 1), complex)
+        flat = feats.view(float)
+        flat[:, 1] = d_prefix[tiers.group_kh]
+        flat[:, 0] = d_prefix[tiers.group_kw] - flat[:, 1]
+        for g_lo, g_hi, e_lo, decay in tiers.chunks:
+            p_prefix = np.zeros((decay.shape[0] + 1, decay.shape[1]), complex)
+            np.cumsum(
+                deltas[e_lo:e_lo + decay.shape[0], None] * decay, axis=0,
+                out=p_prefix[1:],
+            )
+            feats[g_lo:g_hi, 1:] = (
+                p_prefix[tiers.group_kw[g_lo:g_hi] - e_lo]
+                - p_prefix[tiers.group_kh[g_lo:g_hi] - e_lo]
+            )
+
+        # dc, steady-state and slow tiers: z = phase · features per
+        # sample, then one real GEMM against the port's coefficients.
+        z = np.repeat(feats, tiers.group_len, axis=0)
+        z *= self._phases_for(grid, times_key)
+        contrib = z.view(float) @ self._coef[p][:, rows]
+
+        # Window tier: the port's deltas fill the cached CSR structure,
+        # then one sparse × (value|slope knots × rows) product.
+        data = np.empty((tiers.win_edge.size, 2))
+        np.take(deltas, tiers.win_edge, out=data[:, 0])
+        np.multiply(data[:, 0], tiers.win_frac, out=data[:, 1])
+        window = csr_array(
+            (data.ravel(), tiers.win_indices, tiers.win_indptr),
+            shape=(times.size, self._wcoef.shape[1]),
         )
-        contrib += np.outer(d_at_h, self._dc[p, rows])
-
-        # Slow tier: per anchored chunk, a local prefix sum over the
-        # edges the chunk reads and one small GEMM over its phase rows.
-        # The product stays one expression: NumPy elides the difference
-        # temporary by swapping the operands, complex products are not
-        # bitwise commutative, and this form keeps a single-chunk
-        # segment's floats those of the global factorization.
-        mgw_p = np.ascontiguousarray(self._mgw[p][:, rows])
-        phases = self._phases_for(grid, times_key)
-        for lo, hi, e_lo, decay in tiers.chunks:
-            d_chunk = deltas[e_lo:e_lo + decay.shape[0]]
-            p_prefix = np.concatenate([
-                np.zeros((1, n_lanes), dtype=complex),
-                np.cumsum(d_chunk[:, None] * decay, axis=0),
-            ])
-            contrib[lo:hi] += np.real((phases[lo:hi] * (
-                p_prefix[tiers.ks_w[lo:hi] - e_lo]
-                - p_prefix[tiers.ks_h[lo:hi] - e_lo]
-            )) @ mgw_p)
-
-        # Window tier: gather the packed (value | slope) table rows for
-        # every (sample, edge) pair, interpolate, and scatter-accumulate
-        # all node columns in one bincount over ``sample · R + column``.
-        if tiers.win_sample is not None:
-            n = len(self.nodes)
-            wpack_p = self._wpack[p][:, np.concatenate([rows, rows + n])]
-            packed = wpack_p[tiers.win_idx]     # (pairs, 2R)
-            r = rows.size
-            vals = packed[:, :r] + tiers.win_frac[:, None] * packed[:, r:]
-            d_pair = np.repeat(deltas[tiers.win_active], tiers.win_lengths)
-            weighted = d_pair[:, None] * vals
-            bins = (tiers.win_sample[:, None] * r + np.arange(r)).ravel()
-            contrib += np.bincount(
-                bins, weights=weighted.ravel(), minlength=times.size * r
-            ).reshape(times.size, r)
+        contrib += window @ self._wcoef[p][:, rows]
         return contrib
 
     def stepping_solver(

@@ -95,6 +95,16 @@ class TestValidationErrors:
                 rc_net(), {"vin": 1.0}, t_end=1e-6, dt=1e-9, observe=["zz"]
             )
 
+    def test_non_finite_state_names_first_diverging_step(self):
+        def load(times):
+            return np.where(np.arange(times.size) >= 37, np.inf, 0.0)
+
+        with pytest.raises(SolverError, match="diverged at step 37$"):
+            simulate_transient(
+                two_stage_net(), {"vin": 1.0, "load": load},
+                t_end=1e-7, dt=1e-9,
+            )
+
 
 class TestCrossValidation:
     """The MNA engine must agree with the exact modal solution."""
